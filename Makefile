@@ -1,18 +1,20 @@
 GO ?= go
 
-.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-json bench-delta serve-test loadgen predict-diff adversarial check
+.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-test serve-test loadgen predict-diff adversarial check
 
 all: check
 
 vet:
 	$(GO) vet ./...
 
-# vet plus the repo's clock-discipline check: pipeline code reads time
-# through simclock.Clock only (time.Now is allowed in simclock's Real
+# vet, the repo's clock-discipline check, and gofmt. Pipeline code reads
+# time through simclock.Clock only (time.Now is allowed in simclock's Real
 # implementation, socket deadlines, cmd/, and tests) so instrumented runs
-# stay deterministic.
+# stay deterministic. Any file gofmt would rewrite fails the target.
 lint: vet
 	$(GO) run ./cmd/lintclock .
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -83,10 +85,10 @@ serve-test:
 
 # Deterministic open-loop load generation against the assembled system:
 # seeded Zipf query mix, simclock arrivals, QPS sweep to the max sustainable
-# level; serial then 3-node cluster, results merged into BENCH_<date>.json.
+# level; serial then 3-node cluster, each printing its sweep table.
 loadgen:
-	$(GO) run ./cmd/loadgen -bench-dir .
-	$(GO) run ./cmd/loadgen -bench-dir . -cluster-nodes 3
+	$(GO) run ./cmd/loadgen
+	$(GO) run ./cmd/loadgen -cluster-nodes 3
 
 # Serial vs sharded pipeline throughput (1/4/8 workers).
 bench:
@@ -97,14 +99,12 @@ bench-search:
 	$(GO) test -run '^$$' -bench 'BenchmarkSearch|BenchmarkIndexUpsert' \
 		-benchmem -benchtime 20x ./internal/search/
 
-# Machine-readable benchmark snapshot: pipeline throughput (serial, sharded,
-# sharded+telemetry, 1/3-node cluster replication overhead) and search
-# latency, written to BENCH_<date>.json so the perf trajectory diffs across
-# PRs.
-bench-json:
-	$(GO) run ./cmd/benchtables -bench-json
-	$(GO) run ./cmd/loadgen -bench-dir .
-	$(GO) run ./cmd/loadgen -bench-dir . -cluster-nodes 3
+# The fixed-workload benchmark (censysbench/, declared in BENCHMARK.json)
+# is its own Go module, so `go test ./...` at the root never reaches it.
+# This vets and tests it; censysbench/README.md says how to run it.
+bench-test:
+	$(GO) vet -C censysbench ./...
+	$(GO) test -C censysbench ./...
 
 # The predictive-scanning suite: the GPS-style scheduler's determinism and
 # crash differentials (model, topology cursors, cooldown book, and budget
@@ -128,17 +128,4 @@ adversarial:
 	$(GO) test -race ./internal/chaos/ -run 'Adversarial'
 	$(GO) test ./internal/eval/ -run 'Adversarial'
 
-# Perf-regression gate: diff the newest working-tree BENCH_<date>.json
-# against the version committed at HEAD; fail on >15% ns/op or any allocs/op
-# regression. In `make check` the target is advisory (leading `-`): timing on
-# shared single-core CI is too noisy to hard-fail the gate, but the report is
-# printed for review.
-bench-delta:
-	@f=$$(ls BENCH_*.json 2>/dev/null | sort | tail -1); \
-	if [ -z "$$f" ]; then echo "bench-delta: no BENCH_*.json in working tree"; exit 0; fi; \
-	if ! git show HEAD:$$f > .bench_head.json 2>/dev/null; then \
-		echo "bench-delta: $$f not committed at HEAD; nothing to diff"; rm -f .bench_head.json; exit 0; fi; \
-	$(GO) run ./cmd/benchdelta -old .bench_head.json -new $$f; st=$$?; rm -f .bench_head.json; exit $$st
-
-check: lint build race chaos chaos-disk cluster-diff fsck serve-test predict-diff adversarial
-	-$(MAKE) bench-delta
+check: lint build race chaos chaos-disk cluster-diff fsck serve-test predict-diff adversarial bench-test

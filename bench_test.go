@@ -9,6 +9,7 @@ package censysmap
 import (
 	"net/netip"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -169,16 +170,9 @@ func BenchmarkFigure5_SampleSize(b *testing.B) {
 	}
 	for i, n := range res.SampleSizes {
 		if n == 50 || n == 5 {
-			b.ReportMetric(res.StdDev[i], "stddev_n"+itoa(n))
+			b.ReportMetric(res.StdDev[i], "stddev_n"+strconv.Itoa(n))
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 5 {
-		return "5"
-	}
-	return "50"
 }
 
 // ---- ablation benches (design choices from DESIGN.md) ----
@@ -220,7 +214,7 @@ func BenchmarkAblation_DeltaJournaling(b *testing.B) {
 // bounds replay length but amplifies writes.
 func BenchmarkAblation_SnapshotInterval(b *testing.B) {
 	for _, k := range []int{4, 16, 64} {
-		b.Run(itoaN(k), func(b *testing.B) {
+		b.Run(strconv.Itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net, _ := ablationUniverse(1)
 				cfg := core.DefaultConfig()
@@ -245,7 +239,7 @@ func BenchmarkAblation_SnapshotInterval(b *testing.B) {
 // trade-off).
 func BenchmarkAblation_EvictionWindow(b *testing.B) {
 	for _, hours := range []int{12, 72, 240} {
-		b.Run(itoaN(hours)+"h", func(b *testing.B) {
+		b.Run(strconv.Itoa(hours)+"h", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net, clk := ablationUniverse(1)
 				cfg := core.DefaultConfig()
@@ -324,16 +318,51 @@ func BenchmarkAblation_Prediction(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineThroughput measures steady-state pipeline speed under an
-// interrogation-heavy load: a dense universe on a tight refresh cadence, so
-// most wall-clock time goes to Phase-2 protocol ladders rather than Phase-1
-// SYN probing. The serial variant (one shard, one worker) is the
+// throughputWorkload is the pipeline-throughput universe and layout: a dense
+// /22 on an hourly refresh cadence, so most wall-clock time goes to Phase-2
+// protocol ladders rather than Phase-1 SYN probing.
+func throughputWorkload() (*simnet.Internet, core.Config) {
+	simCfg := simnet.DefaultConfig()
+	simCfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
+	simCfg.Seed = 1
+	simCfg.CloudBlocks = 1
+	simCfg.WebProperties = 20
+	simCfg.HostDensity = 0.5
+	net := simnet.New(simCfg, simclock.New())
+
+	cfg := core.DefaultConfig()
+	cfg.CloudBlocks = 1
+	cfg.RefreshEvery = time.Hour
+	return net, cfg
+}
+
+// runThroughput builds the map, runs an untimed warm-up day (seed scan plus
+// initial discovery) to build the dataset to refresh, then times b.N
+// simulated days and reports interrogations per simulated day.
+func runThroughput(b *testing.B, net *simnet.Internet, cfg core.Config) *core.Map {
+	b.Helper()
+	m, err := core.New(cfg, net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Run(24 * time.Hour)
+	before := m.Stats().Interrogations
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Run(24 * time.Hour)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.Stats().Interrogations-before)/float64(b.N), "interro/simday")
+	return m
+}
+
+// BenchmarkPipelineThroughput measures steady-state pipeline speed on the
+// throughput workload. The serial variant (one shard, one worker) is the
 // pre-sharding pipeline; the sharded variants fan interrogation out over 8
 // state shards with 1, 4, and 8 workers. All variants produce bit-identical
 // datasets (see TestPipelineDeterministic* in internal/core); only
-// wall-clock differs. The warm-up day (seed scan plus initial discovery) is
-// untimed. Speedup is bounded by the cores available — the gomaxprocs
-// metric is reported so single-core results read as what they are.
+// wall-clock differs. Speedup is bounded by the cores available — the
+// gomaxprocs metric is reported so single-core results read as what they are.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	variants := []struct {
 		name    string
@@ -347,32 +376,10 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			simCfg := simnet.DefaultConfig()
-			simCfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
-			simCfg.Seed = 1
-			simCfg.CloudBlocks = 1
-			simCfg.WebProperties = 20
-			simCfg.HostDensity = 0.5
-			net := simnet.New(simCfg, simclock.New())
-
-			cfg := core.DefaultConfig()
-			cfg.CloudBlocks = 1
+			net, cfg := throughputWorkload()
 			cfg.Shards = v.shards
 			cfg.InterroWorkers = v.workers
-			cfg.RefreshEvery = time.Hour
-			m, err := core.New(cfg, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Run(24 * time.Hour) // warm-up: build the dataset to refresh
-			before := m.Stats().Interrogations
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run(24 * time.Hour)
-			}
-			b.StopTimer()
-			perDay := float64(m.Stats().Interrogations-before) / float64(b.N)
-			b.ReportMetric(perDay, "interro/simday")
+			runThroughput(b, net, cfg)
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		})
 	}
@@ -391,35 +398,13 @@ func BenchmarkPipelineTelemetryOverhead(b *testing.B) {
 			name = "enabled"
 		}
 		b.Run(name, func(b *testing.B) {
-			simCfg := simnet.DefaultConfig()
-			simCfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
-			simCfg.Seed = 1
-			simCfg.CloudBlocks = 1
-			simCfg.WebProperties = 20
-			simCfg.HostDensity = 0.5
-			net := simnet.New(simCfg, simclock.New())
-
-			cfg := core.DefaultConfig()
-			cfg.CloudBlocks = 1
+			net, cfg := throughputWorkload()
 			cfg.Shards = 8
 			cfg.InterroWorkers = 4
-			cfg.RefreshEvery = time.Hour
 			if enabled {
 				cfg.Telemetry = telemetry.New()
 			}
-			m, err := core.New(cfg, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Run(24 * time.Hour) // warm-up: build the dataset to refresh
-			before := m.Stats().Interrogations
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run(24 * time.Hour)
-			}
-			b.StopTimer()
-			perDay := float64(m.Stats().Interrogations-before) / float64(b.N)
-			b.ReportMetric(perDay, "interro/simday")
+			m := runThroughput(b, net, cfg)
 			if enabled {
 				snap := m.MetricsSnapshot()
 				b.ReportMetric(float64(len(snap.Families)), "families")
@@ -427,18 +412,6 @@ func BenchmarkPipelineTelemetryOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-func itoaN(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	digits := []byte{}
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
 }
 
 // BenchmarkPipelineUnderFaults measures pipeline throughput and dataset
@@ -457,33 +430,11 @@ func BenchmarkPipelineUnderFaults(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			simCfg := simnet.DefaultConfig()
-			simCfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
-			simCfg.Seed = 1
-			simCfg.CloudBlocks = 1
-			simCfg.WebProperties = 20
-			simCfg.HostDensity = 0.5
-			net := simnet.New(simCfg, simclock.New())
+			net, cfg := throughputWorkload()
 			inj := chaos.New(chaos.Config{Seed: 1, Loss: v.loss})
 			net.SetFaultInjector(inj)
-
-			cfg := core.DefaultConfig()
-			cfg.CloudBlocks = 1
-			cfg.RefreshEvery = time.Hour
 			cfg.RetryPolicy = core.RetryPolicy{MaxRetries: 2, BaseDelay: cfg.Tick, MaxDelay: 4 * cfg.Tick}
-			m, err := core.New(cfg, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Run(24 * time.Hour) // warm-up: build the dataset to refresh
-			before := m.Stats().Interrogations
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run(24 * time.Hour)
-			}
-			b.StopTimer()
-			perDay := float64(m.Stats().Interrogations-before) / float64(b.N)
-			b.ReportMetric(perDay, "interro/simday")
+			m := runThroughput(b, net, cfg)
 			b.ReportMetric(float64(len(m.CurrentServices(false))), "services")
 			b.ReportMetric(float64(inj.Stats().Total()), "drops")
 		})

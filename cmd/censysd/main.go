@@ -101,7 +101,7 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, pmux); err != nil {
+			if err := newHTTPServer(*pprofAddr, pmux).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "pprof listener:", err)
 			}
 		}()
@@ -194,21 +194,27 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/v2/", front)
-	mux.HandleFunc("GET /v1/search", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
-		hosts, err := sys.Search(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintf(w, "%d hosts\n", len(hosts))
-		for _, h := range hosts {
-			fmt.Fprintf(w, "%s\n", h.IP)
-		}
-	})
 	fmt.Printf("serving on %s\n", *listen)
-	if err := http.ListenAndServe(*listen, mux); err != nil {
+	if err := newHTTPServer(*listen, mux).ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// Connection timeouts for every censysd listener. They bound how long a
+// client may take to send request headers and how long an idle keep-alive
+// connection is held. There is deliberately no read or write timeout: bulk
+// export streams and pprof profiles legitimately run for many seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

@@ -479,8 +479,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	} else {
 		m.storageMetrics = durable.NewMetrics()
 	}
-	geo, asn := enrichFeedsFor(net)
-	m.enricher = enrich.New(geo, asn)
+	m.enricher = enrich.New(buildGeoDB(net), buildASNDB(net))
 	m.reader = cqrs.NewReader(j, m.enricher)
 	if d != nil {
 		m.certIdx = d.CertIdx
@@ -543,38 +542,6 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 
 func (m *Map) shardFor(addr netip.Addr) *stateShard {
 	return m.shards[shard.Of(addr.String(), len(m.shards))]
-}
-
-// enrichFeeds caches the derived GeoIP/ASN feeds per universe: five engines
-// sharing one Internet each used to rebuild both feeds with a full
-// O(universe) address scan. The feeds are read-only after construction, so
-// one build per universe is shared by every Map. The host count is part of
-// the key so a universe mutated by AddHost/RemoveHost gets fresh feeds.
-type enrichFeedKey struct {
-	net   *simnet.Internet
-	hosts int
-}
-
-type enrichFeeds struct {
-	geo *enrich.GeoDB
-	asn *enrich.ASNDB
-}
-
-var (
-	enrichFeedMu    sync.Mutex
-	enrichFeedCache = make(map[enrichFeedKey]enrichFeeds)
-)
-
-func enrichFeedsFor(net *simnet.Internet) (*enrich.GeoDB, *enrich.ASNDB) {
-	key := enrichFeedKey{net: net, hosts: net.Hosts()}
-	enrichFeedMu.Lock()
-	defer enrichFeedMu.Unlock()
-	if f, ok := enrichFeedCache[key]; ok {
-		return f.geo, f.asn
-	}
-	f := enrichFeeds{geo: buildGeoDB(net), asn: buildASNDB(net)}
-	enrichFeedCache[key] = f
-	return f.geo, f.asn
 }
 
 // buildGeoDB assembles the "external" GeoIP feed: per-/24 country data

@@ -5,8 +5,10 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"censysmap/internal/discovery"
 	"censysmap/internal/entity"
@@ -377,5 +379,22 @@ func TestNewRequiresSimClock(t *testing.T) {
 	net := simnet.New(cfg, simclock.Real{})
 	if _, err := New(DefaultConfig(), net); err == nil {
 		t.Fatal("real clock accepted")
+	}
+}
+
+// TestMapReleasesUniverse requires that nothing package-level keeps a
+// dropped Map's universe reachable: a long-lived process that builds and
+// discards maps (the eval lab, a benchmark) must not grow without bound.
+func TestMapReleasesUniverse(t *testing.T) {
+	wp := func() weak.Pointer[simnet.Internet] {
+		net, _ := testUniverse(t)
+		testMap(t, net)
+		return weak.Make(net)
+	}()
+	for i := 0; i < 3 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("universe still reachable after its Map was dropped")
 	}
 }

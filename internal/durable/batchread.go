@@ -1,14 +1,14 @@
 package durable
 
-// Batched segment reads: recovery used to issue one os.ReadFile per segment
-// file, paying a buffer allocation and a kernel round trip per file. A
-// partition's chain is instead sized with one stat pass and read back-to-back
-// into a single shared buffer; scanSegment already aliases frame payloads
-// into the bytes it is handed, so the whole decode pipeline — CRC checks,
-// snapshot repair, partition restore — runs zero-copy over that one buffer.
+// Batched segment reads: rather than one os.ReadFile (and one buffer) per
+// segment file, a partition's chain is sized with one stat pass and read
+// back-to-back into a single shared buffer; scanSegment already aliases
+// frame payloads into the bytes it is handed, so the whole decode pipeline —
+// CRC checks, snapshot repair, partition restore — runs zero-copy over that
+// one buffer.
 //
-// Fidelity with the per-file reader is part of the contract: open errors,
-// short files, and read errors must surface exactly as os.ReadFile reported
+// Fidelity with a per-file os.ReadFile is part of the contract: open errors,
+// short files, and read errors must surface exactly as os.ReadFile reports
 // them, because fsck golden fixtures pin Finding.Detail strings. Files that
 // change size between stat and read (nothing the engine itself does) fall
 // back to os.ReadFile for that file.
@@ -19,19 +19,11 @@ import (
 	"path/filepath"
 )
 
-// readSegments reads every segment file of one partition chain, returning
-// per-file contents and errors positionally. With LoadOptions.PerFileReads
-// (the legacy A/B path) each file gets its own buffer; otherwise all files
-// share one allocation.
+// readSegments reads every segment file of one partition chain into one
+// shared allocation, returning per-file contents and errors positionally.
 func (l *loader) readSegments(segs []segManifest) ([][]byte, []error) {
 	datas := make([][]byte, len(segs))
 	errs := make([]error, len(segs))
-	if l.perFile {
-		for i, sm := range segs {
-			datas[i], errs[i] = os.ReadFile(filepath.Join(l.dir, sm.File))
-		}
-		return datas, errs
-	}
 	offs := make([]int64, len(segs)+1)
 	for i, sm := range segs {
 		var size int64

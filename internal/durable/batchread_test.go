@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -32,9 +31,9 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestBatchedReadDifferential holds the batched shared-buffer reader
-// byte-equivalent to the legacy per-file reader: identical stores, findings,
-// quarantine sets, and checkpoints over a clean store, a freshly corrupted
-// store, and both committed corrupted fixtures.
+// equivalent to one os.ReadFile per segment file — identical bytes and
+// identical error text for every segment of every partition — over a clean
+// store, a freshly corrupted store, and both committed corrupted fixtures.
 func TestBatchedReadDifferential(t *testing.T) {
 	dirs := make(map[string]string)
 
@@ -54,35 +53,30 @@ func TestBatchedReadDifferential(t *testing.T) {
 	}
 
 	for name, dir := range dirs {
-		// Load is read-only (repairs are only queued, applied by fsck
-		// -repair), so both strategies can read the same directory — and
-		// must, since Finding.Detail strings embed absolute paths.
-		rebuild := map[string]SnapshotRebuilder{"journal": fixtureRebuilder}
-		per, perErr := Load(dir, LoadOptions{Rebuild: rebuild, PerFileReads: true})
-		bat, batErr := Load(dir, LoadOptions{Rebuild: rebuild})
-		if (perErr == nil) != (batErr == nil) {
-			t.Fatalf("%s: per-file err %v, batched err %v", name, perErr, batErr)
+		l, err := newLoader(dir, LoadOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if perErr != nil {
-			continue
-		}
-		if !bytes.Equal(per.Checkpoint, bat.Checkpoint) {
-			t.Fatalf("%s: checkpoints differ", name)
-		}
-		if !reflect.DeepEqual(per.Report, bat.Report) {
-			t.Fatalf("%s: reports differ:\n per-file %+v\n batched  %+v", name, per.Report, bat.Report)
-		}
-		if len(per.Stores) != len(bat.Stores) {
-			t.Fatalf("%s: store sets differ", name)
-		}
-		for sn, ps := range per.Stores {
-			bs, ok := bat.Stores[sn]
-			if !ok {
-				t.Fatalf("%s: store %s missing from batched result", name, sn)
+		segs := 0
+		for _, sm := range l.man.Stores {
+			for pi, pm := range sm.Partitions {
+				datas, errs := l.readSegments(pm.Segments)
+				for i, seg := range pm.Segments {
+					segs++
+					want, wantErr := os.ReadFile(filepath.Join(dir, seg.File))
+					if (wantErr == nil) != (errs[i] == nil) ||
+						(wantErr != nil && wantErr.Error() != errs[i].Error()) {
+						t.Fatalf("%s: %s/p%04d %s: per-file err %v, batched err %v",
+							name, sm.Name, pi, seg.File, wantErr, errs[i])
+					}
+					if !bytes.Equal(want, datas[i]) {
+						t.Fatalf("%s: %s/p%04d %s: bytes differ between readers", name, sm.Name, pi, seg.File)
+					}
+				}
 			}
-			if !reflect.DeepEqual(dumpAll(ps), dumpAll(bs)) {
-				t.Fatalf("%s: store %s dumps differ between readers", name, sn)
-			}
+		}
+		if segs == 0 {
+			t.Fatalf("%s: no segments read", name)
 		}
 	}
 }

@@ -101,10 +101,6 @@ type partitionDecoder struct {
 	dump    journal.PartitionDump
 	sawMeta bool
 
-	// fastDecode enables the hand-rolled envelope scanner (fastenvelope.go);
-	// off, every record goes through encoding/json — the legacy decode path
-	// LoadOptions.PerFileReads restores for A/B benchmarks.
-	fastDecode bool
 	// Scratch envelope bodies the fast parser fills in place of per-record
 	// heap structs; apply consumes them before the next record arrives.
 	scratchMeta metaRec
@@ -118,13 +114,18 @@ type partitionDecoder struct {
 	curGot  int
 }
 
-// next consumes one decoded record payload.
+// next consumes one decoded record payload. The hand-rolled envelope
+// scanner (fastenvelope.go) handles the canonical shape; anything it does
+// not recognize goes through nextJSON.
 func (pd *partitionDecoder) next(payload []byte) error {
-	if pd.fastDecode {
-		if e, ok := pd.parseFast(payload); ok {
-			return pd.apply(e)
-		}
+	if e, ok := pd.parseFast(payload); ok {
+		return pd.apply(e)
 	}
+	return pd.nextJSON(payload)
+}
+
+// nextJSON consumes one record payload through encoding/json.
+func (pd *partitionDecoder) nextJSON(payload []byte) error {
 	var e envelope
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return fmt.Errorf("envelope: %w", err)

@@ -14,7 +14,7 @@ import (
 // no per-record envelope allocation — and bails out to the encoding/json
 // decoder on ANY deviation: reordered keys, escape sequences, non-ASCII,
 // numeric overflow, bad base64. The fallback guarantees decode results and
-// error text stay identical to the legacy loader; the per-file/batched
+// error text stay identical to an encoding/json-only decode; the envelope
 // differential suite and the chaos-disk gate hold the two paths equal.
 
 // envSpan is a monotone cursor over one record payload.

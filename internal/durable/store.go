@@ -369,11 +369,6 @@ type LoadOptions struct {
 	Rebuild map[string]SnapshotRebuilder
 	// Metrics receives recovery counters; a fresh set is created when nil.
 	Metrics *Metrics
-	// PerFileReads restores the legacy loader — one os.ReadFile per segment
-	// and reflective encoding/json envelope decode — instead of the batched
-	// shared-buffer reader with the hand-rolled envelope scanner; kept for
-	// benchmarking the two load paths against each other.
-	PerFileReads bool
 }
 
 // Result is a recovered store directory.
@@ -398,7 +393,6 @@ type loader struct {
 	rebuild map[string]SnapshotRebuilder
 	report  *RecoveryReport
 	repairs []repairAction
-	perFile bool
 }
 
 // Load recovers the stores and checkpoint saved under dir, detecting and
@@ -452,7 +446,6 @@ func newLoader(dir string, opts LoadOptions) (*loader, error) {
 		metrics: m,
 		rebuild: opts.Rebuild,
 		report:  &RecoveryReport{Gen: man.Gen, Quarantined: make(map[string][]int)},
-		perFile: opts.PerFileReads,
 	}, nil
 }
 
@@ -590,7 +583,7 @@ func (l *loader) recoverPartition(store string, pi int, pm partManifest) (journa
 
 	// Decode the record stream, attempting CRC-proven snapshot repair at
 	// each corrupt record.
-	pd := &partitionDecoder{fastDecode: !l.perFile}
+	pd := &partitionDecoder{}
 	rebuild := l.rebuild[store]
 	for _, fr := range stream {
 		if !fr.ok {

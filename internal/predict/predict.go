@@ -707,9 +707,9 @@ type State struct {
 	FullHosts     []netip.Addr              `json:"full_hosts,omitempty"`
 	FullCooc      map[uint16]map[uint16]int `json:"full_cooc,omitempty"`
 	FullPortHosts map[uint16]int            `json:"full_port_hosts,omitempty"`
-	Suggested  []SuggestedEntry                           `json:"suggested,omitempty"`
-	Evicted    []EvictedState                             `json:"evicted,omitempty"`
-	Cursor     int                                        `json:"cursor"`
+	Suggested     []SuggestedEntry          `json:"suggested,omitempty"`
+	Evicted       []EvictedState            `json:"evicted,omitempty"`
+	Cursor        int                       `json:"cursor"`
 	// ExpandCursor is the expansion phase's rotation position.
 	ExpandCursor int `json:"expand_cursor"`
 	// Topology is the density-ranked prefix tree.
