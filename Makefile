@@ -61,7 +61,7 @@ fsck:
 	! $(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_repairable
 	! $(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_quarantine -json
 
-# Short coverage-guided fuzzing: the three parsers that face untrusted
+# Short coverage-guided fuzzing: the parsers that face untrusted
 # bytes, plus the search differential (random queries against a naive
 # reference evaluator, serial and partitioned engines must agree). Seed
 # corpora also run as part of plain `make test`.
@@ -69,7 +69,6 @@ fuzz:
 	$(GO) test ./internal/fingerdsl/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzSearchDifferential -fuzztime 30s
-	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzSegmentDecode -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCursor -fuzztime 30s
 	$(GO) test ./internal/predict/ -fuzz FuzzPrefixExclusion -fuzztime 30s

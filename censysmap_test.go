@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
+
+	"censysmap/internal/core"
 )
 
 // smallSystem builds a fast system for facade tests.
@@ -96,6 +99,42 @@ func TestSystemDeterministic(t *testing.T) {
 	}
 	if a, b := build(), build(); a != b {
 		t.Fatalf("non-deterministic: %d vs %d services", a, b)
+	}
+}
+
+// TestPipelineUsedAsGiven: a non-nil Options.Pipeline is the pipeline's
+// configuration, not a hint. A serial layout must run serial, and since the
+// dataset is layout-invariant it matches the default (sharded) System's.
+func TestPipelineUsedAsGiven(t *testing.T) {
+	build := func(pipeline *core.Config) *System {
+		sys, err := NewSystem(Options{
+			Universe: netip.MustParsePrefix("10.0.0.0/23"),
+			Seed:     3,
+			Pipeline: pipeline,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(24 * time.Hour)
+		return sys
+	}
+	cfg := core.DefaultConfig()
+	cfg.Shards = 1
+	cfg.InterroWorkers = 1
+	serial, sharded := build(&cfg), build(nil)
+	if got := serial.Map().Journal().Partitions(); got != 1 {
+		t.Fatalf("serial Pipeline ran with %d journal partitions", got)
+	}
+	if got := sharded.Map().Journal().Partitions(); got != core.DefaultConfig().Shards {
+		t.Fatalf("nil Pipeline ran with %d journal partitions, want the default %d",
+			got, core.DefaultConfig().Shards)
+	}
+	if serial.Metrics() != nil || sharded.Metrics() == nil {
+		t.Fatal("telemetry must follow Pipeline.Telemetry, defaulting on only for a nil Pipeline")
+	}
+	a, b := serial.Services(), sharded.Services()
+	if len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("serial and sharded datasets differ: %d vs %d services", len(a), len(b))
 	}
 }
 

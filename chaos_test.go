@@ -30,7 +30,7 @@ func chaosSystem(t *testing.T, seed uint64) (*System, core.Config) {
 	pcfg.SnapshotEvery = 4
 	pcfg.RetryPolicy = core.RetryPolicy{MaxRetries: 2, BaseDelay: pcfg.Tick, MaxDelay: 4 * pcfg.Tick}
 
-	sys, err := NewSystem(Options{Network: &ncfg, Pipeline: pcfg})
+	sys, err := NewSystem(Options{Network: &ncfg, Pipeline: &pcfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,10 @@ import (
 
 	"censysmap"
 	"censysmap/internal/cluster"
+	"censysmap/internal/core"
 	"censysmap/internal/serve"
 	"censysmap/internal/simnet"
+	"censysmap/internal/telemetry"
 )
 
 // parseTenants parses the -api-keys flag: comma-separated name:key:tier
@@ -113,9 +115,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bad -universe:", err)
 		os.Exit(2)
 	}
+	// The facade's default pipeline, adjusted by the prediction flags: the
+	// cloud region is the default network's, as the universe is generated
+	// from simnet.DefaultConfig().
+	pcfg := core.DefaultConfig()
+	pcfg.CloudBlocks = simnet.DefaultConfig().CloudBlocks
+	pcfg.Telemetry = telemetry.New()
+	pcfg.DisablePrediction = !*predict
+	if *predictBudget > 0 {
+		pcfg.PredictBudgetPerTick = *predictBudget
+	}
 	sys, err := censysmap.NewSystem(censysmap.Options{Universe: prefix, Seed: *seed,
-		DisablePrediction: !*predict, PredictBudgetPerTick: *predictBudget,
-		Scenario: *scenario})
+		Pipeline: &pcfg, Scenario: *scenario})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -7,16 +7,15 @@ import (
 	"time"
 
 	"censysmap/internal/discovery"
-	"censysmap/internal/interro"
 	"censysmap/internal/simnet"
 )
 
 // adversarialSpec is the Lab spec over a hostile substrate: a honeypot farm,
 // tarpits (half stalling, half dripping), scan detectors with escalating
 // blocks, and banner-churn hosts — with the pipeline's countermeasures all
-// enabled (deadline budgets, adaptive backoff + rotation, honeypot
-// uniformity filter). One seed names one exact hostile schedule; the usual
-// differential contract must hold unchanged.
+// enabled (the always-on deadline budgets, adaptive backoff + rotation,
+// honeypot uniformity filter). One seed names one exact hostile schedule;
+// the usual differential contract must hold unchanged.
 func adversarialSpec(seed uint64, ticks int) RunSpec {
 	spec := Lab(seed, Mild(seed+3), ticks)
 	prefix := netip.MustParsePrefix("10.40.0.0/22")
@@ -32,11 +31,6 @@ func adversarialSpec(seed uint64, ticks int) RunSpec {
 		DetectorBaseBlock: 6 * time.Hour,
 		BannerChurnRate:   0.2,
 		BannerChurnPeriod: 12 * time.Hour,
-	}
-	spec.Pipeline.InterroBudget = interro.Budget{
-		ReadTimeout: 2 * time.Second,
-		Handshake:   8 * time.Second,
-		Total:       30 * time.Second,
 	}
 	spec.Pipeline.ScanBackoff = discovery.BackoffPolicy{
 		StreakThreshold: 24,

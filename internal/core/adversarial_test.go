@@ -46,8 +46,6 @@ func TestTarpitLivenessAllStall(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CloudBlocks = 1
 	cfg.DisablePrediction = true // no 65K seed scan; keep the run focused
-	cfg.InterroBudget.ReadTimeout = 2 * time.Second
-	cfg.InterroBudget.Total = 20 * time.Second
 	m, err := New(cfg, net)
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +104,6 @@ func TestDripTarpitsGetPseudoFiltered(t *testing.T) {
 	cfg.CloudBlocks = 1
 	cfg.DisablePrediction = true
 	cfg.PseudoServiceThreshold = 5
-	cfg.InterroBudget.ReadTimeout = 2 * time.Second
-	cfg.InterroBudget.Total = 20 * time.Second
 	m, err := New(cfg, net)
 	if err != nil {
 		t.Fatal(err)

@@ -53,12 +53,14 @@ import (
 	"censysmap/internal/webprop"
 )
 
+// scanner identifies the pipeline to networks: a 256-address source pool
+// (the blocking model's input), probing from the US. A small fraction of
+// networks blocklist even polite scanners (the paper's opt-out list covers
+// 0.03% of address space; broader defensive blocking is somewhat higher).
+var scanner = simnet.Scanner{ID: "censysmap", SourceIPs: 256, Country: "US", BlockedFrac: 0.02}
+
 // Config assembles a Map.
 type Config struct {
-	// ScannerID identifies the engine to networks.
-	ScannerID string
-	// SourceIPs is the source pool size (blocking model input).
-	SourceIPs int
 	// Tick is the scheduling quantum.
 	Tick time.Duration
 	// RefreshEvery is the per-service re-interrogation cadence (daily).
@@ -78,12 +80,8 @@ type Config struct {
 	PseudoServiceThreshold int
 	// Excluded prefixes are never scanned (opt-out list).
 	Excluded []netip.Prefix
-	// WirePackets runs discovery through the userspace packet stack.
-	WirePackets bool
 	// DisablePrediction turns the predictive engine off (ablation).
 	DisablePrediction bool
-	// DisableReinjection turns evicted-service re-injection off (ablation).
-	DisableReinjection bool
 	// EvictAfter overrides the 72h eviction grace window (ablation).
 	EvictAfter time.Duration
 	// SnapshotEvery overrides journal snapshot cadence (ablation).
@@ -100,10 +98,6 @@ type Config struct {
 	// before a failure enters the eviction state machine. The zero value
 	// disables retries (the pre-retry pipeline, bit for bit).
 	RetryPolicy RetryPolicy
-	// InterroBudget bounds the virtual time one interrogation candidate may
-	// consume (tarpit defense; see internal/interro/budget.go). The zero
-	// value keeps unlimited legacy behavior modulo the hard read cap.
-	InterroBudget interro.Budget
 	// ScanBackoff configures discovery's adaptive per-/24 backoff and scanner
 	// rotation against networks running scan detection. Zero value disables.
 	ScanBackoff discovery.BackoffPolicy
@@ -157,8 +151,6 @@ func (rp RetryPolicy) delay(attempt int) time.Duration {
 // DefaultConfig returns the production-like configuration.
 func DefaultConfig() Config {
 	return Config{
-		ScannerID:                  "censysmap",
-		SourceIPs:                  256,
 		Tick:                       time.Hour,
 		RefreshEvery:               24 * time.Hour,
 		BackgroundPortsPerIPPerDay: 100,
@@ -364,12 +356,6 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		m.farmSeen = make(map[farmKey]map[netip.Addr]bool)
 	}
 
-	// A small fraction of networks blocklist even polite scanners (the
-	// paper's opt-out list covers 0.03% of address space; broader
-	// defensive blocking is somewhat higher).
-	scanner := simnet.Scanner{ID: cfg.ScannerID, SourceIPs: cfg.SourceIPs,
-		Country: "US", BlockedFrac: 0.02}
-
 	// Discovery: the three standard classes over the universe prefix.
 	classes, err := discovery.StandardClasses(net.Config().Prefix, cfg.CloudBlocks,
 		cfg.Tick, cfg.BackgroundPortsPerIPPerDay)
@@ -408,14 +394,13 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 
 	m.pops = discovery.DefaultPoPs()
 	m.disc, err = discovery.New(discovery.Config{
-		Scanner:     scanner,
-		PoPs:        m.pops,
-		Classes:     classes,
-		Excluded:    cfg.Excluded,
-		Seed:        net.Config().Seed ^ 0xD15C,
-		Ledger:      m.ledger,
-		WirePackets: cfg.WirePackets,
-		Backoff:     cfg.ScanBackoff,
+		Scanner:  scanner,
+		PoPs:     m.pops,
+		Classes:  classes,
+		Excluded: cfg.Excluded,
+		Seed:     net.Config().Seed ^ 0xD15C,
+		Ledger:   m.ledger,
+		Backoff:  cfg.ScanBackoff,
 	}, net)
 	if err != nil {
 		return nil, err
@@ -428,7 +413,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		sc := scanner
 		sc.Country = pop.Country
 		in := interro.New(net, sc)
-		in.Budget = cfg.InterroBudget
+		in.Budget = interro.DefaultBudget
 		m.inter[pop.Name] = in
 	}
 
@@ -603,8 +588,6 @@ func (m *Map) seedScan() {
 		return
 	}
 	now := m.clock.Now()
-	scanner := simnet.Scanner{ID: m.cfg.ScannerID, SourceIPs: m.cfg.SourceIPs,
-		Country: "US", BlockedFrac: 0.02}
 	prefix := m.net.Config().Prefix.Masked()
 	count := uint64(1) << (32 - prefix.Bits())
 	base := prefix.Addr().As4()
@@ -693,10 +676,8 @@ func (m *Map) Tick(now time.Time) {
 		m.runPrediction(now)
 		m.runBatch(now, "predict")
 	}
-	if !m.cfg.DisableReinjection {
-		m.runReinjection(now)
-		m.runBatch(now, "reinject")
-	}
+	m.runReinjection(now)
+	m.runBatch(now, "reinject")
 
 	// Name-based scanning.
 	m.webProps.PollCT(m.net.CT, now)
@@ -1035,9 +1016,7 @@ func (m *Map) apply(s *stateShard, obs cqrs.Observation, c discovery.Candidate, 
 			}
 			s.mu.Unlock()
 			if was {
-				if !m.cfg.DisableReinjection {
-					m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
-				}
+				m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
 				m.reinjected.Add(1) // queued for re-injection
 			}
 		}
@@ -1160,8 +1139,6 @@ func (m *Map) runPrediction(now time.Time) {
 		budget = g
 	}
 	targets := m.predictor.Recommend(now, budget)
-	scanner := simnet.Scanner{ID: m.cfg.ScannerID, SourceIPs: m.cfg.SourceIPs,
-		Country: "US", BlockedFrac: 0.02}
 	for _, t := range targets {
 		if m.excludedAddr(t.Addr) {
 			continue

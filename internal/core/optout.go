@@ -70,7 +70,7 @@ func (m *Map) AddExclusion(prefix netip.Prefix, requester string) (Exclusion, er
 		// Two failure applications straddling the eviction window force
 		// immediate removal through the normal state machine.
 		_ = m.processor.Apply(obs)
-		obs.Time = now.Add(m.cfg.EvictAfter)
+		obs.Time = now.Add(m.processor.EvictAfter())
 		_ = m.processor.Apply(obs)
 		s := m.shardFor(key.addr)
 		s.mu.Lock()

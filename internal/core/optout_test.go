@@ -135,3 +135,42 @@ func TestAnalyticsSnapshotsAccumulate(t *testing.T) {
 		t.Fatal("analytics query returned nothing")
 	}
 }
+
+// TestExclusionPurgesWithDefaultedEvictAfter: EvictAfter <= 0 means the
+// processor's 72h default, and the opt-out purge must straddle that
+// effective window — not the raw zero — or the prefix's services linger as
+// pending-removal rows in the full export.
+func TestExclusionPurgesWithDefaultedEvictAfter(t *testing.T) {
+	net, _ := testUniverse(t)
+	cfg := DefaultConfig()
+	cfg.CloudBlocks = 1
+	cfg.BackgroundPortsPerIPPerDay = 400
+	cfg.EvictAfter = 0
+	m, err := New(cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(26 * time.Hour)
+	var victim netip.Prefix
+	for _, r := range m.CurrentServices(false) {
+		b := r.Addr.As4()
+		b[3] = 0
+		victim = netip.PrefixFrom(netip.AddrFrom4(b), 24)
+		break
+	}
+	if countIn(m, victim) == 0 {
+		t.Fatal("no services in victim prefix")
+	}
+	if _, err := m.AddExclusion(victim, "noc@example.net"); err != nil {
+		t.Fatal(err)
+	}
+	left := 0
+	for _, r := range m.CurrentServices(true) {
+		if victim.Contains(r.Addr) {
+			left++
+		}
+	}
+	if left != 0 {
+		t.Fatalf("%d opted-out services still exported as pending removal", left)
+	}
+}

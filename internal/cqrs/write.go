@@ -139,6 +139,10 @@ func NewProcessor(cfg Config, j *journal.Store) *Processor {
 // Journal returns the underlying event journal.
 func (p *Processor) Journal() *journal.Store { return p.journal }
 
+// EvictAfter returns the effective pending-removal window (the configured
+// value, or the 72h default when it was <= 0).
+func (p *Processor) EvictAfter() time.Duration { return p.cfg.EvictAfter }
+
 // Shards reports the shard count.
 func (p *Processor) Shards() int { return len(p.shards) }
 

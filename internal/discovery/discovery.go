@@ -25,7 +25,6 @@ import (
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simnet"
-	"censysmap/internal/wire"
 )
 
 // PoP is a scanning point of presence (paper §4.5).
@@ -34,16 +33,14 @@ type PoP struct {
 	Name string
 	// Country is the vantage point's location (geoblocking input).
 	Country string
-	// SourceAddr is the address probes originate from (wire mode).
-	SourceAddr netip.Addr
 }
 
 // DefaultPoPs mirrors the paper's deployment: Chicago, Frankfurt, Hong Kong.
 func DefaultPoPs() []PoP {
 	return []PoP{
-		{Name: "chi", Country: "US", SourceAddr: netip.MustParseAddr("192.0.2.1")},
-		{Name: "fra", Country: "DE", SourceAddr: netip.MustParseAddr("192.0.2.2")},
-		{Name: "hkg", Country: "HK", SourceAddr: netip.MustParseAddr("192.0.2.3")},
+		{Name: "chi", Country: "US"},
+		{Name: "fra", Country: "DE"},
+		{Name: "hkg", Country: "HK"},
 	}
 }
 
@@ -95,10 +92,6 @@ type Config struct {
 	// spend at its registered grant. Nil leaves budgets implicit in
 	// ProbesPerTick exactly as before.
 	Ledger *Ledger
-	// WirePackets routes probes through full packet encode/decode (the
-	// userspace network stack) instead of the fast path. Identical
-	// semantics, ~5x the CPU; used where wire fidelity matters.
-	WirePackets bool
 	// Backoff configures adaptive backoff and scanner rotation against
 	// networks that block scanners (see adaptive.go). Zero value disables.
 	Backoff BackoffPolicy
@@ -123,7 +116,6 @@ type Engine struct {
 	cfg     Config
 	net     *simnet.Internet
 	classes []*classState
-	prober  *wire.Prober
 	popIdx  int
 	stats   Stats
 	// udpProbes caches protocol-specific UDP payloads by port.
@@ -157,7 +149,6 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		net:       net,
-		prober:    wire.NewProber(cfg.Seed, 40000),
 		udpProbes: make(map[uint16]udpProbe),
 	}
 	for _, cc := range cfg.Classes {
@@ -292,12 +283,7 @@ func (e *Engine) probe(now time.Time, class string, method entity.DetectionMetho
 	}
 
 	e.stats.ProbesSent++
-	var outcome simnet.Outcome
-	if e.cfg.WirePackets {
-		outcome = e.wireProbeTCP(sc, pop, addr, port)
-	} else {
-		outcome = e.net.ProbeTCP(sc, addr, port)
-	}
+	outcome := e.net.ProbeTCP(sc, addr, port)
 	switch outcome {
 	case simnet.Open:
 		e.stats.OpenResponses++
@@ -313,13 +299,7 @@ func (e *Engine) probe(now time.Time, class string, method entity.DetectionMetho
 
 	if up, ok := e.udpProbes[port]; ok {
 		e.stats.ProbesSent++
-		var resp []byte
-		var uout simnet.Outcome
-		if e.cfg.WirePackets {
-			resp, uout = e.wireProbeUDP(sc, pop, addr, port, up.payload)
-		} else {
-			resp, uout = e.net.ProbeUDP(sc, addr, port, up.payload)
-		}
+		resp, uout := e.net.ProbeUDP(sc, addr, port, up.payload)
 		if uout == simnet.Open && len(resp) > 0 {
 			e.stats.OpenResponses++
 			confirm()
@@ -329,47 +309,6 @@ func (e *Engine) probe(now time.Time, class string, method entity.DetectionMetho
 			e.stats.Dropped++
 		}
 	}
-}
-
-// wireProbeTCP sends the probe as a crafted SYN packet through the full
-// userspace network stack.
-func (e *Engine) wireProbeTCP(sc simnet.Scanner, pop PoP, addr netip.Addr, port uint16) simnet.Outcome {
-	pkt, err := e.prober.SYN(pop.SourceAddr, addr, port)
-	if err != nil {
-		return simnet.Dropped
-	}
-	resp := e.net.HandlePacket(sc, pkt)
-	if resp == nil {
-		return simnet.Dropped
-	}
-	parsed, ok := e.prober.ParseResponse(pop.SourceAddr, resp)
-	if !ok {
-		return simnet.Dropped
-	}
-	switch parsed.Kind {
-	case wire.ResponseOpen:
-		return simnet.Open
-	case wire.ResponseClosed:
-		return simnet.Closed
-	}
-	return simnet.Dropped
-}
-
-// wireProbeUDP sends the probe as a crafted UDP packet.
-func (e *Engine) wireProbeUDP(sc simnet.Scanner, pop PoP, addr netip.Addr, port uint16, payload []byte) ([]byte, simnet.Outcome) {
-	pkt, err := e.prober.UDPProbe(pop.SourceAddr, addr, port, payload)
-	if err != nil {
-		return nil, simnet.Dropped
-	}
-	resp := e.net.HandlePacket(sc, pkt)
-	if resp == nil {
-		return nil, simnet.Dropped
-	}
-	parsed, ok := e.prober.ParseResponse(pop.SourceAddr, resp)
-	if !ok || parsed.Kind != wire.ResponseUDPReply {
-		return nil, simnet.Dropped
-	}
-	return parsed.Payload, simnet.Open
 }
 
 // Stats returns cumulative counters.

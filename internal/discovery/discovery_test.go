@@ -26,14 +26,13 @@ func censysLike() simnet.Scanner {
 	return simnet.Scanner{ID: "censys", SourceIPs: 256, Country: "US"}
 }
 
-func newEngine(t *testing.T, net *simnet.Internet, classes []ClassConfig, wirePackets bool) *Engine {
+func newEngine(t *testing.T, net *simnet.Internet, classes []ClassConfig) *Engine {
 	t.Helper()
 	e, err := New(Config{
-		Scanner:     censysLike(),
-		PoPs:        DefaultPoPs(),
-		Classes:     classes,
-		Seed:        7,
-		WirePackets: wirePackets,
+		Scanner: censysLike(),
+		PoPs:    DefaultPoPs(),
+		Classes: classes,
+		Seed:    7,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +54,7 @@ func TestDiscoveryFindsLiveServices(t *testing.T) {
 	clk := simclock.New()
 	net := simnet.New(quietConfig(), clk)
 	cls := priorityClass(t, quietConfig().Prefix, 1<<20)
-	e := newEngine(t, net, []ClassConfig{cls}, false)
+	e := newEngine(t, net, []ClassConfig{cls})
 
 	found := map[[2]any]bool{}
 	e.Tick(clk.Now(), func(c Candidate) {
@@ -91,7 +90,7 @@ func TestDiscoveryEmitsUDPCandidates(t *testing.T) {
 	clk := simclock.New()
 	net := simnet.New(quietConfig(), clk)
 	cls := priorityClass(t, quietConfig().Prefix, 1<<20)
-	e := newEngine(t, net, []ClassConfig{cls}, false)
+	e := newEngine(t, net, []ClassConfig{cls})
 
 	udp := 0
 	e.Tick(clk.Now(), func(c Candidate) {
@@ -113,31 +112,6 @@ func TestDiscoveryEmitsUDPCandidates(t *testing.T) {
 	}
 	if udp == 0 {
 		t.Fatal("no UDP candidates discovered")
-	}
-}
-
-func TestWirePathMatchesFastPath(t *testing.T) {
-	cfgA := quietConfig()
-	clkA := simclock.New()
-	netA := simnet.New(cfgA, clkA)
-	eA := newEngine(t, netA, []ClassConfig{priorityClass(t, cfgA.Prefix, 1<<20)}, false)
-
-	clkB := simclock.New()
-	netB := simnet.New(cfgA, clkB)
-	eB := newEngine(t, netB, []ClassConfig{priorityClass(t, cfgA.Prefix, 1<<20)}, true)
-
-	fast := map[Candidate]bool{}
-	eA.Tick(clkA.Now(), func(c Candidate) { fast[c] = true })
-	wirePath := map[Candidate]bool{}
-	eB.Tick(clkB.Now(), func(c Candidate) { wirePath[c] = true })
-
-	if len(fast) == 0 || len(fast) != len(wirePath) {
-		t.Fatalf("fast path found %d, wire path %d", len(fast), len(wirePath))
-	}
-	for c := range fast {
-		if !wirePath[c] {
-			t.Fatalf("wire path missed %+v", c)
-		}
 	}
 }
 
@@ -173,7 +147,7 @@ func TestContinuousRestartCoversAgain(t *testing.T) {
 	space, _ := cyclic.NewPrefixSpace(cfg.Prefix, []uint16{80})
 	cls := ClassConfig{Name: "tiny", Method: entity.DetectPriorityScan,
 		Space: space, ProbesPerTick: int(space.Size()) + 10, Restart: true}
-	e := newEngine(t, net, []ClassConfig{cls}, false)
+	e := newEngine(t, net, []ClassConfig{cls})
 	e.Tick(clk.Now(), func(Candidate) {})
 	if e.Stats().CyclesComplete == 0 {
 		t.Fatal("cycle did not complete")
@@ -189,7 +163,7 @@ func TestProbesRotateAcrossPoPs(t *testing.T) {
 	clk := simclock.New()
 	cfg := quietConfig()
 	net := simnet.New(cfg, clk)
-	e := newEngine(t, net, []ClassConfig{priorityClass(t, cfg.Prefix, 1<<20)}, false)
+	e := newEngine(t, net, []ClassConfig{priorityClass(t, cfg.Prefix, 1<<20)})
 	pops := map[string]int{}
 	e.Tick(clk.Now(), func(c Candidate) { pops[c.PoP]++ })
 	if len(pops) != 3 {

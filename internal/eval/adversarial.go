@@ -42,10 +42,9 @@ type AdversarialProfile struct {
 	SweepScale float64
 	// Adversary is the hostile-substrate configuration.
 	Adversary simnet.AdversaryConfig
-	// Budget / Backoff / HoneypotUniformityThreshold are the core pipeline's
-	// countermeasures (the baselines get none — that asymmetry is the
-	// experiment).
-	Budget                      interro.Budget
+	// Backoff / HoneypotUniformityThreshold are the core pipeline's
+	// countermeasures beyond its always-on interrogation budget (the
+	// baselines get none — that asymmetry is the experiment).
 	Backoff                     discovery.BackoffPolicy
 	HoneypotUniformityThreshold int
 }
@@ -72,11 +71,6 @@ func DefaultAdversarialProfile() AdversarialProfile {
 			DetectorBaseBlock: 6 * time.Hour,
 			BannerChurnRate:   0.25,
 			BannerChurnPeriod: 24 * time.Hour,
-		},
-		Budget: interro.Budget{
-			ReadTimeout: 2 * time.Second,
-			Handshake:   8 * time.Second,
-			Total:       30 * time.Second,
 		},
 		Backoff: discovery.BackoffPolicy{
 			StreakThreshold: 24,
@@ -181,7 +175,6 @@ func RunAdversarial(p AdversarialProfile) (AdversarialResult, error) {
 
 	ccfg := core.DefaultConfig()
 	ccfg.CloudBlocks = p.CloudBlocks
-	ccfg.InterroBudget = p.Budget
 	ccfg.ScanBackoff = p.Backoff
 	ccfg.HoneypotUniformityThreshold = p.HoneypotUniformityThreshold
 	m, err := core.New(ccfg, net)

@@ -33,8 +33,8 @@ const DefaultMaxReadsPerConn = 4096
 const defaultReadTimeout = 2 * time.Second
 
 // Budget bounds the virtual wall-clock one candidate's interrogation may
-// consume. The zero value disables time budgets (legacy behavior); the
-// per-connection read cap is always enforced.
+// consume. The zero value disables time budgets; the per-connection read
+// cap is always enforced. The pipeline runs with DefaultBudget.
 type Budget struct {
 	// ReadTimeout is the virtual cost charged for a read that times out
 	// (default 2s). Data reads charge the endpoint's ReadDelay, if any.
@@ -51,8 +51,15 @@ type Budget struct {
 	MaxReadsPerConn int
 }
 
-// Enabled reports whether any virtual-time budget is configured.
-func (b Budget) Enabled() bool { return b.Handshake > 0 || b.Total > 0 }
+// DefaultBudget is the budget the pipeline interrogates with: a timed-out
+// read costs 2s, each connection gets 8s, and one candidate's whole
+// detection ladder gets 30s. Benign endpoints never come near it, so it is
+// always on rather than reserved for hostile universes.
+var DefaultBudget = Budget{
+	ReadTimeout: 2 * time.Second,
+	Handshake:   8 * time.Second,
+	Total:       30 * time.Second,
+}
 
 func (b Budget) readTimeout() time.Duration {
 	if b.ReadTimeout > 0 {

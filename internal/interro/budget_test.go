@@ -110,9 +110,10 @@ func TestHardReadCapBoundsUncappedLadder(t *testing.T) {
 	}
 }
 
-// TestBudgetsDoNotChangeBenignOutcomes: on a benign universe, enabling
-// generous budgets must not change a single interrogation outcome — budgets
-// only bite when an endpoint is hostile.
+// TestBudgetsDoNotChangeBenignOutcomes: on a benign universe, the deployed
+// DefaultBudget must not change a single interrogation outcome — budgets
+// only bite when an endpoint is hostile. This is what lets the pipeline run
+// with the budget always on.
 func TestBudgetsDoNotChangeBenignOutcomes(t *testing.T) {
 	clk1 := simclock.New()
 	net1 := simnet.New(quietConfig(), clk1)
@@ -121,7 +122,7 @@ func TestBudgetsDoNotChangeBenignOutcomes(t *testing.T) {
 	clk2 := simclock.New()
 	net2 := simnet.New(quietConfig(), clk2)
 	budgeted := New(net2, scanner)
-	budgeted.Budget = Budget{ReadTimeout: 2 * time.Second, Handshake: time.Minute, Total: 5 * time.Minute}
+	budgeted.Budget = DefaultBudget
 
 	services := net1.LiveServices(clk1.Now(), false)
 	if len(services) == 0 {

@@ -34,7 +34,7 @@ type Interrogator struct {
 	Scanner simnet.Scanner
 	// Budget bounds the virtual time one candidate may consume (see
 	// budget.go). Set before the first Interrogate call; the zero value
-	// keeps legacy unlimited behavior (modulo the hard read cap).
+	// is unlimited (modulo the hard read cap).
 	Budget Budget
 
 	attempts   atomic.Uint64

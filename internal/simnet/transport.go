@@ -7,7 +7,6 @@ import (
 
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
-	"censysmap/internal/wire"
 )
 
 // Scanner identifies a probing engine to the network. Networks react to
@@ -163,56 +162,6 @@ func (n *Internet) ConnectName(sc Scanner, name string, port uint16) (io.ReadWri
 		return nil, false
 	}
 	return protocols.NewSessionConn(sess), true
-}
-
-// HandlePacket gives the discovery engine a wire-faithful path: it accepts a
-// raw IPv4 probe packet (TCP SYN or UDP) and returns the response packet the
-// destination would emit, or nil. It shares all path/liveness logic with
-// ProbeTCP/ProbeUDP.
-func (n *Internet) HandlePacket(sc Scanner, pkt []byte) []byte {
-	var ip wire.IPv4
-	seg, err := ip.DecodeFromBytes(pkt)
-	if err != nil {
-		return nil
-	}
-	switch ip.Protocol {
-	case wire.IPProtocolTCP:
-		var tcp wire.TCP
-		if _, err := tcp.DecodeFromBytes(seg); err != nil || tcp.Flags&wire.FlagSYN == 0 {
-			return nil
-		}
-		switch n.ProbeTCP(sc, ip.Dst, tcp.DstPort) {
-		case Open:
-			resp, err := wire.SynAck(pkt, 64240)
-			if err != nil {
-				return nil
-			}
-			return resp
-		case Closed:
-			resp, err := wire.Rst(pkt)
-			if err != nil {
-				return nil
-			}
-			return resp
-		}
-		return nil
-	case wire.IPProtocolUDP:
-		var udp wire.UDP
-		payload, err := udp.DecodeFromBytes(seg)
-		if err != nil {
-			return nil
-		}
-		data, outcome := n.ProbeUDP(sc, ip.Dst, udp.DstPort, payload)
-		if outcome != Open {
-			return nil
-		}
-		resp, err := wire.UDPReply(pkt, data)
-		if err != nil {
-			return nil
-		}
-		return resp
-	}
-	return nil
 }
 
 // pathOK models everything between scanner and host: blocking, geoblocking,

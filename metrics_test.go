@@ -60,10 +60,13 @@ func TestMetricsEndpointPrometheus(t *testing.T) {
 // into the snapshot+traces document, agree with the Go-level accessors, and
 // carry sampled trace spans.
 func TestMetricsEndpointJSON(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	cfg.TraceSample = 1 // trace every address
 	sys, err := NewSystem(Options{
 		Universe: netip.MustParsePrefix("10.0.0.0/22"),
 		Seed:     7,
-		Pipeline: core.Config{TraceSample: 1}, // trace every address
+		Pipeline: &cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,20 +126,21 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: with DisableTelemetry the pipeline runs bare — no
-// registry, no snapshot families, and /v2/metrics answers 404.
+// TestMetricsDisabled: a Pipeline without a Telemetry registry runs bare —
+// no registry, no snapshot families, and /v2/metrics answers 404.
 func TestMetricsDisabled(t *testing.T) {
+	cfg := core.DefaultConfig()
 	sys, err := NewSystem(Options{
-		Universe:         netip.MustParsePrefix("10.0.0.0/23"),
-		Seed:             7,
-		DisableTelemetry: true,
+		Universe: netip.MustParsePrefix("10.0.0.0/23"),
+		Seed:     7,
+		Pipeline: &cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Run(4 * time.Hour)
 	if sys.Metrics() != nil {
-		t.Fatal("DisableTelemetry left a registry attached")
+		t.Fatal("a Pipeline with nil Telemetry got a registry attached")
 	}
 	if snap := sys.MetricsSnapshot(); len(snap.Families) != 0 {
 		t.Fatalf("disabled snapshot has %d families", len(snap.Families))
