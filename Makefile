@@ -62,14 +62,16 @@ fsck:
 	! $(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_quarantine -json
 
 # Short coverage-guided fuzzing: the parsers that face untrusted
-# bytes, plus the search differential (random queries against a naive
-# reference evaluator, serial and partitioned engines must agree). Seed
+# bytes, plus two differentials: search (random queries against a naive
+# reference evaluator, serial and partitioned engines must agree) and
+# journal replay (ApplyEvent against the encoding/json reducer). Seed
 # corpora also run as part of plain `make test`.
 fuzz:
 	$(GO) test ./internal/fingerdsl/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzSearchDifferential -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzSegmentDecode -fuzztime 30s
+	$(GO) test ./internal/cqrs/ -fuzz FuzzApplyEvent -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCursor -fuzztime 30s
 	$(GO) test ./internal/predict/ -fuzz FuzzPrefixExclusion -fuzztime 30s
 	$(GO) test ./internal/simnet/ -fuzz FuzzScenarioDecode -fuzztime 30s

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"testing"
 	"time"
 
@@ -82,76 +81,18 @@ func randService(rng *rand.Rand) *entity.Service {
 	return svc
 }
 
-func randHost(rng *rand.Rand) *entity.Host {
-	h := &entity.Host{LastUpdated: randTime(rng)}
-	if rng.Intn(8) > 0 {
-		h.IP = netip.AddrFrom4([4]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
-	}
-	for i, n := 0, rng.Intn(20); i < n; i++ {
-		h.SetService(randService(rng))
-	}
-	if rng.Intn(2) == 0 {
-		h.Location = &entity.Location{Country: randString(rng), City: randString(rng)}
-	}
-	if rng.Intn(2) == 0 {
-		h.AS = &entity.AS{Number: uint32(rng.Intn(3)) * 64512, Name: randString(rng), Org: randString(rng)}
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		h.Software = append(h.Software, entity.Software{
-			Vendor: randString(rng), Product: "nginx", Version: randString(rng), Part: "a",
-		})
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		h.Vulns = append(h.Vulns, randString(rng))
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		h.Labels = append(h.Labels, randString(rng))
-	}
-	return h
-}
-
-// TestCodecDifferentialEncode holds the hand-rolled encoders byte-identical
-// to encoding/json over randomized inputs covering the full escaping and
-// omitempty surface.
-func TestCodecDifferentialEncode(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 2000; i++ {
-		svc := randService(rng)
-		want, err := json.Marshal(servicePayload{Service: svc})
-		if err != nil {
-			t.Fatalf("reference marshal: %v", err)
-		}
-		if got := EncodeServiceEvent(svc); !bytes.Equal(got, want) {
-			t.Fatalf("service event %d:\n got %s\nwant %s", i, got, want)
-		}
-
-		key := entity.ServiceKey{Port: svc.Port, Transport: svc.Transport}
-		since := randTime(rng)
-		want, _ = json.Marshal(keyPayload{Port: key.Port, Transport: key.Transport, Since: since})
-		if got := EncodeKeyEvent(key, since); !bytes.Equal(got, want) {
-			t.Fatalf("key event %d:\n got %s\nwant %s", i, got, want)
-		}
-
-		h := randHost(rng)
-		want, err = json.Marshal(h)
-		if err != nil {
-			t.Fatalf("reference marshal host: %v", err)
-		}
-		if got := EncodeHostSnapshot(h); !bytes.Equal(got, want) {
-			t.Fatalf("host snapshot %d:\n got %s\nwant %s", i, got, want)
-		}
-	}
-	// Degenerate shapes the generator can miss.
-	if got, want := EncodeServiceEvent(nil), `{"service":null}`; string(got) != want {
-		t.Fatalf("nil service: got %s want %s", got, want)
-	}
-	want, _ := json.Marshal(&entity.Host{})
-	if got := EncodeHostSnapshot(&entity.Host{}); !bytes.Equal(got, want) {
-		t.Fatalf("zero host: got %s want %s", got, want)
-	}
-	want, _ = json.Marshal(keyPayload{})
-	if got := EncodeKeyEvent(entity.ServiceKey{}, time.Time{}); !bytes.Equal(got, want) {
-		t.Fatalf("zero key event: got %s want %s", got, want)
+// allocProbeService is a fully populated service record: every serialized
+// field set, attributes and a pending-removal time included.
+func allocProbeService() *entity.Service {
+	since := time.Date(2024, 8, 22, 3, 0, 0, 0, time.UTC)
+	return &entity.Service{
+		Port: 443, Transport: entity.TCP, Protocol: "HTTP", TLS: true,
+		CertSHA256: "ab12", Banner: "HTTP/1.1 200 OK\r\nServer: nginx",
+		Attributes: map[string]string{"http.title": "Welcome", "http.status": "200"},
+		Method:     entity.DetectPriorityScan, Verified: true,
+		FirstSeen:           time.Date(2024, 8, 20, 1, 0, 0, 0, time.UTC),
+		LastSeen:            time.Date(2024, 8, 21, 1, 0, 0, 0, time.UTC),
+		PendingRemovalSince: &since, SourcePoP: "chi",
 	}
 }
 
@@ -283,26 +224,6 @@ func TestApplyEventFallbackShapes(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("payload %d kind %s diverged:\n fast %s\n ref  %s", i, kind, got, want)
 			}
-		}
-	}
-}
-
-// TestEventEncoderStability verifies arena-interned payloads survive later
-// encodes (the journal retains them forever).
-func TestEventEncoderStability(t *testing.T) {
-	var enc eventEncoder
-	rng := rand.New(rand.NewSource(99))
-	var payloads [][]byte
-	var want []string
-	for i := 0; i < 500; i++ {
-		svc := randService(rng)
-		b := enc.serviceEvent(svc)
-		payloads = append(payloads, b)
-		want = append(want, string(b))
-	}
-	for i := range payloads {
-		if string(payloads[i]) != want[i] {
-			t.Fatalf("payload %d mutated after later encodes", i)
 		}
 	}
 }

@@ -19,6 +19,7 @@ package cqrs
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 	"unicode/utf16"
@@ -540,7 +541,7 @@ func (d *decoder) scanService(p *jsParser) bool {
 
 // serviceKey formats "port/transport" into d.key for map addressing.
 func (d *decoder) serviceKey(port uint64, transport []byte) {
-	d.key = appendUint(d.key[:0], port)
+	d.key = strconv.AppendUint(d.key[:0], port, 10)
 	d.key = append(d.key, '/')
 	d.key = append(d.key, transport...)
 }

@@ -39,22 +39,34 @@ type keyPayload struct {
 	Since     time.Time        `json:"since,omitempty"`
 }
 
-// EncodeServiceEvent serializes a found/changed/restored delta. The bytes
-// are produced by the hand-rolled codec (codec.go), which matches
-// encoding/json's output bit-for-bit; the write path's per-shard
-// eventEncoder reuses buffers instead of calling this allocating form.
+// The journal's delta payloads are encoding/json output: the golden files in
+// internal/journal pin those bytes, and durable snapshot repair rebuilds a
+// snapshot by re-encoding replayed state, so the encoding must be stable.
+
+// EncodeServiceEvent serializes a found/changed/restored delta.
 func EncodeServiceEvent(svc *entity.Service) []byte {
-	return AppendServiceEvent(nil, svc)
+	return mustMarshal(servicePayload{Service: svc})
 }
 
 // EncodeKeyEvent serializes a pending/removed delta.
 func EncodeKeyEvent(key entity.ServiceKey, since time.Time) []byte {
-	return AppendKeyEvent(nil, key, since)
+	return mustMarshal(keyPayload{Port: key.Port, Transport: key.Transport, Since: since})
 }
 
 // EncodeHostSnapshot serializes full host state for snapshot events.
 func EncodeHostSnapshot(h *entity.Host) []byte {
-	return AppendHostSnapshot(nil, h)
+	return mustMarshal(h)
+}
+
+// mustMarshal encodes a payload type that has no marshal failure mode: its
+// fields are strings, integers, maps of strings, and times, which fail only
+// outside the years 0-9999 (journal times are UnixNano instants).
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic("cqrs: marshal cannot fail: " + err.Error())
+	}
+	return b
 }
 
 // DecodeHostSnapshot parses a snapshot payload.

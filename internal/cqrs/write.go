@@ -80,11 +80,6 @@ type procShard struct {
 	// move SourcePoP without journaling.
 	lastSeen map[string]map[string]slotSeen
 
-	// enc amortizes payload encoding: deltas are marshalled into a reused
-	// scratch buffer and interned into arena chunks, since the journal
-	// retains every payload indefinitely. Guarded by mu.
-	enc eventEncoder
-
 	queue []OutEvent
 }
 
@@ -238,7 +233,7 @@ func (s *procShard) touch(id string, key entity.ServiceKey, t time.Time, pop str
 // emit journals a service-carrying delta and updates write-side state. The
 // caller holds the shard lock.
 func (p *Processor) emit(s *procShard, h *entity.Host, t time.Time, kind string, svc *entity.Service) error {
-	if _, err := p.journal.Append(h.ID(), t, kind, s.enc.serviceEvent(svc)); err != nil {
+	if _, err := p.journal.Append(h.ID(), t, kind, EncodeServiceEvent(svc)); err != nil {
 		return err
 	}
 	h.SetService(svc)
@@ -254,7 +249,7 @@ func (p *Processor) emit(s *procShard, h *entity.Host, t time.Time, kind string,
 // emitKey journals a key-only delta (pending/removed). The caller holds the
 // shard lock.
 func (p *Processor) emitKey(s *procShard, h *entity.Host, t time.Time, kind string, key entity.ServiceKey, since time.Time) error {
-	if _, err := p.journal.Append(h.ID(), t, kind, s.enc.keyEvent(key, since)); err != nil {
+	if _, err := p.journal.Append(h.ID(), t, kind, EncodeKeyEvent(key, since)); err != nil {
 		return err
 	}
 	if t.After(h.LastUpdated) {
@@ -271,7 +266,7 @@ func (p *Processor) afterAppend(s *procShard, h *entity.Host, t time.Time) {
 	id := h.ID()
 	s.sinceSnap[id]++
 	if s.sinceSnap[id] >= p.cfg.SnapshotEvery {
-		if _, err := p.journal.AppendSnapshot(id, t, s.enc.hostSnapshot(h)); err == nil {
+		if _, err := p.journal.AppendSnapshot(id, t, EncodeHostSnapshot(h)); err == nil {
 			s.sinceSnap[id] = 0
 		}
 	}

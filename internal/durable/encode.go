@@ -101,12 +101,6 @@ type partitionDecoder struct {
 	dump    journal.PartitionDump
 	sawMeta bool
 
-	// Scratch envelope bodies the fast parser fills in place of per-record
-	// heap structs; apply consumes them before the next record arrives.
-	scratchMeta metaRec
-	scratchRow  rowRec
-	scratchEv   evRec
-
 	// Current row being filled, with its declared shape.
 	cur     *journal.RowDump
 	curHDD  int
@@ -114,18 +108,8 @@ type partitionDecoder struct {
 	curGot  int
 }
 
-// next consumes one decoded record payload. The hand-rolled envelope
-// scanner (fastenvelope.go) handles the canonical shape; anything it does
-// not recognize goes through nextJSON.
+// next consumes one record payload through encoding/json.
 func (pd *partitionDecoder) next(payload []byte) error {
-	if e, ok := pd.parseFast(payload); ok {
-		return pd.apply(e)
-	}
-	return pd.nextJSON(payload)
-}
-
-// nextJSON consumes one record payload through encoding/json.
-func (pd *partitionDecoder) nextJSON(payload []byte) error {
 	var e envelope
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return fmt.Errorf("envelope: %w", err)

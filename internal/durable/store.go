@@ -318,12 +318,42 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 	return nil
 }
 
+// writeFileAtomic replaces path with data: the bytes are written to a temp
+// file and synced before the rename, and the directory is synced after it,
+// so a power loss leaves either the old file or the complete new one.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func readManifest(dir string) (*manifest, error) {
@@ -474,11 +504,9 @@ func (l *loader) recoverPartition(store string, pi int, pm partManifest) (journa
 	}
 
 	var stream []frameRec
-	// One shared read for the whole chain; frames decoded below alias into
-	// the batch buffer (see batchread.go).
-	datas, readErrs := l.readSegments(pm.Segments)
 	for si, sm := range pm.Segments {
-		data, err := datas[si], readErrs[si]
+		// Frames decoded below alias into data.
+		data, err := os.ReadFile(filepath.Join(l.dir, sm.File))
 		if err != nil {
 			return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
 				Fault: FaultMissing, Detail: err.Error()})

@@ -24,8 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"censysmap/internal/entity"
 )
@@ -124,7 +125,12 @@ type Protocol struct {
 	Fingerprint func(data []byte) bool
 }
 
-var registry = map[string]*Protocol{}
+var (
+	registry = map[string]*Protocol{}
+	// byName holds every registered protocol in name order; register keeps
+	// it sorted so All neither sorts nor allocates.
+	byName []*Protocol
+)
 
 // register adds a protocol at package init; duplicate names panic.
 func register(p *Protocol) {
@@ -132,20 +138,19 @@ func register(p *Protocol) {
 		panic(fmt.Sprintf("protocols: duplicate registration of %q", p.Name))
 	}
 	registry[p.Name] = p
+	i, _ := slices.BinarySearchFunc(byName, p.Name, func(q *Protocol, name string) int {
+		return strings.Compare(q.Name, name)
+	})
+	byName = slices.Insert(byName, i, p)
 }
 
 // Lookup returns the protocol registered under name, or nil.
 func Lookup(name string) *Protocol { return registry[name] }
 
-// All returns every registered protocol sorted by name.
-func All() []*Protocol {
-	out := make([]*Protocol, 0, len(registry))
-	for _, p := range registry {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// All returns every registered protocol sorted by name. The slice is shared
+// by every caller and must not be modified; its capacity is capped so an
+// append copies instead of writing into it.
+func All() []*Protocol { return byName[:len(byName):len(byName)] }
 
 // ICSProtocols returns the registered industrial control system protocols.
 func ICSProtocols() []*Protocol {
@@ -193,10 +198,18 @@ func Identify(data []byte) string {
 // what matter, not full payloads (ephemeral data is explicitly not stored).
 const maxBanner = 256
 
-// truncate clips s to the banner cap at a rune-safe boundary.
+// truncate clips s to the banner cap at a rune-safe boundary: a multi-byte
+// rune that would straddle the cap is dropped whole rather than split into
+// invalid UTF-8. The search backs off at most one rune's length, so bytes
+// that are not UTF-8 at all are still cut at the cap.
 func truncate(s string) string {
 	if len(s) <= maxBanner {
 		return s
+	}
+	for cut := maxBanner; cut > maxBanner-utf8.UTFMax; cut-- {
+		if utf8.RuneStart(s[cut]) {
+			return s[:cut]
+		}
 	}
 	return s[:maxBanner]
 }

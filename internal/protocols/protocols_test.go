@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // recordingConn captures the first server bytes a scanner reads, to feed the
@@ -449,5 +450,46 @@ func TestRealTCPIntegration(t *testing.T) {
 				t.Fatalf("incomplete over TCP: %+v", res)
 			}
 		})
+	}
+}
+
+func TestAllSortedByName(t *testing.T) {
+	all := All()
+	if len(all) != len(registry) {
+		t.Fatalf("All() has %d protocols, registry %d", len(all), len(registry))
+	}
+	for i := 1; i < len(all); i++ {
+		if all[i-1].Name >= all[i].Name {
+			t.Fatalf("All() out of order at %d: %s before %s", i, all[i-1].Name, all[i].Name)
+		}
+	}
+}
+
+// TestBannerTruncatesAtRuneBoundary sends an SSH banner whose 256-byte cap
+// falls inside a multi-byte rune: the stored banner must stay valid UTF-8
+// (the journal would otherwise store U+FFFD and replay a different banner)
+// and keep every whole rune before the cap.
+func TestBannerTruncatesAtRuneBoundary(t *testing.T) {
+	prefix := "SSH-2.0-" + strings.Repeat("a", maxBanner-3-8) // é ends at 255, 世 spans 255..257
+	line := prefix + "é世 trailing comment"
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(line + "\r\n"), io.Discard}
+	res, _ := ScanSSH(rw)
+	if res == nil {
+		t.Fatal("ScanSSH returned no result")
+	}
+	if !utf8.ValidString(res.Banner) {
+		t.Fatalf("banner is not valid UTF-8: %q", res.Banner[len(res.Banner)-4:])
+	}
+	if want := prefix + "é"; res.Banner != want {
+		t.Fatalf("banner = ...%q (%d bytes), want ...%q (%d bytes)",
+			res.Banner[len(prefix)-4:], len(res.Banner), want[len(prefix)-4:], len(want))
+	}
+	// Bytes that are not UTF-8 at all are still cut at the cap.
+	junk := strings.Repeat("\x80", maxBanner+10)
+	if got := truncate(junk); len(got) != maxBanner {
+		t.Fatalf("truncate(non-UTF-8) kept %d bytes, want %d", len(got), maxBanner)
 	}
 }
